@@ -247,41 +247,52 @@ class TestFindLog:
             find_decision_log(empty)
 
 
+#: The stripe whose spool holds each task's record in the sharded run
+#: below: these tasks on stripe 1, every other task on stripe 0.
+STRIPE_ONE_TASKS = {
+    1, 2, 8, 10, 12, 13, 15, 16, 17, 21, 24, 25,
+    31, 35, 40, 41, 44, 47, 50, 51, 53, 55, 56, 59,
+}
+
+
+def run_sharded(decisions):
+    """A two-stripe ``ShardedEngine`` run over a wide 60-task city."""
+    from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
+
+    cfg = StreamConfig(n_workers=30, n_tasks=60, t_end=40.0, seed=7,
+                       width_km=24.0, height_km=12.0)
+    tasks, workers = make_task_stream(cfg), make_worker_fleet(cfg)
+    engine = ShardedEngine(
+        workers,
+        DeadReckoningProvider(seed=7),
+        ServeConfig(decisions=decisions),
+        assign_fn=ppi_assign,
+        candidate_assign_fn=component_candidate_assign("ppi"),
+        dist=DistConfig(shards=2),
+    )
+    try:
+        return engine.run(tasks, 0.0, cfg.t_end)
+    finally:
+        engine.close()
+
+
 class TestShardedLog:
     def test_merged_log_reconciles_and_carries_shards(self, tmp_path):
-        from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
-
-        cfg = StreamConfig(n_workers=30, n_tasks=60, t_end=40.0, seed=7,
-                           width_km=24.0, height_km=12.0)
-        tasks, workers = make_task_stream(cfg), make_worker_fleet(cfg)
-
-        def build(decisions):
-            return ShardedEngine(
-                workers,
-                DeadReckoningProvider(seed=7),
-                ServeConfig(decisions=decisions),
-                assign_fn=ppi_assign,
-                candidate_assign_fn=component_candidate_assign("ppi"),
-                dist=DistConfig(shards=2),
-            )
-
-        plain_engine = build(None)
-        try:
-            plain = plain_engine.run(tasks, 0.0, cfg.t_end)
-        finally:
-            plain_engine.close()
+        plain = run_sharded(None)
         log_path = tmp_path / "sharded.decisions.jsonl"
-        engine = build(DecisionConfig(path=str(log_path)))
-        try:
-            result = engine.run(tasks, 0.0, cfg.t_end)
-        finally:
-            engine.close()
+        result = run_sharded(DecisionConfig(path=str(log_path)))
         assert result_signature(result) == result_signature(plain)
         records = read_decisions(log_path)
         assert reconcile(records, result)["ok"]
         spools = sorted((tmp_path / "sharded.decisions.jsonl.shards").glob("*.jsonl"))
         assert len(spools) >= 2
         assert {r["shard"] for r in records} >= {0, 1}
+
+    def test_every_record_keeps_its_stripe(self, tmp_path):
+        log_path = tmp_path / "sharded.decisions.jsonl"
+        run_sharded(DecisionConfig(path=str(log_path)))
+        pairs = sorted((r["task"], r["shard"]) for r in read_decisions(log_path))
+        assert pairs == [(t, int(t in STRIPE_ONE_TASKS)) for t in range(60)]
 
 
 class TestRegistrySweepDiff:
