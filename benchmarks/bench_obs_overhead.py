@@ -14,14 +14,14 @@ Three arms, three bars, all written to ``BENCH_obs_overhead.json``:
   measurement pair — the untraced arm runs the byte-identical 3-tuple
   wire frames of the pre-observability protocol — and the enabled cost
   must stay under ``MAX_DIST_OVERHEAD_PCT`` (bar asserted by the
-  ``dist-obs-guard`` in :mod:`benchmarks.check_regression`).
+  ``dist_obs_bench`` guard in :mod:`benchmarks.check_regression`).
 * **decision log** — the identical serve run with and without
   ``ServeConfig.decisions`` (one provenance record per task appended
   to a JSONL log).  Plan parity (``result_signature``) is asserted on
   every pair — a decision log that changed the plan would be a
   correctness bug — and the enabled cost must stay under
   ``MAX_DECISIONS_OVERHEAD_PCT`` (bar asserted by the
-  ``decision-log-guard`` in :mod:`benchmarks.check_regression`).
+  ``decision_bench`` guard in :mod:`benchmarks.check_regression`).
 
 Run standalone::
 

@@ -10,13 +10,12 @@ untouched and overrides exactly two hooks:
   which provably merges to the dense graph, so every downstream plan —
   and therefore :func:`repro.serve.adapters.result_signature` — is
   unchanged at any shard count;
-* ``_on_event`` — events carrying a location are routed to the stripe
-  that owns (or is nearest to) their cell column under the most recent
-  batch's shard layout, feeding label-style per-shard
-  ``dist.shard.events{shard=sid}`` counters and
-  ``dist.shard.lag_s{shard=sid}`` histograms (simulation-time staleness
-  of the shard's last merged plan when the event lands); the dotted
-  ``dist.shard.{sid}.*`` forms are kept as deprecated compat aliases.
+* ``_run_observers`` — prepends a :class:`ShardRouter`, which routes
+  task events to the stripe owning (or nearest to) their cell column
+  under the last batch's layout, feeding ``dist.shard.events{shard=sid}``
+  counters and ``dist.shard.lag_s{shard=sid}`` histograms (staleness of
+  the shard's last merged plan), and names that stripe on each task's
+  decision record.
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
@@ -33,7 +32,6 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro import obs
-from repro.obs.decisions import DecisionConfig, DecisionLog
 from repro.obs.dist import (
     MERGE_SPAN,
     PREPARE_SPAN,
@@ -42,6 +40,7 @@ from repro.obs.dist import (
     current_context,
 )
 from repro.obs.metrics import labelled
+from repro.obs.observer import RunObserver
 from repro.assignment.baselines import km_assign_candidates
 from repro.assignment.plan import AssignmentPlan
 from repro.assignment.ppi import PPIConfig, ppi_assign_candidates
@@ -102,41 +101,53 @@ def component_candidate_assign(
     return assign
 
 
-class _ShardedDecisionLog(DecisionLog):
-    """Decision log whose records carry the owning stripe.
+class ShardRouter(RunObserver):
+    """Routes a run's task events to stripes under the last batch layout.
 
-    Arrival-time terminals (dead on arrival, shed on arrival) fire
-    before the engine's ``_on_event`` routing hook sees the arrival, so
-    the log notes each task's cell column itself at the first decision
-    site; terminals then resolve the column to a stripe under the most
-    recent batch layout (``None`` — and spool 0 — before the first
-    batch lays stripes out).
+    An arrival notes its task's cell column, so the task's deadline,
+    cancel and decision record (:meth:`shard_of`) land on the same
+    stripe.  Other events, and any before the first batch, are unrouted.
     """
 
-    def __init__(self, config: DecisionConfig, engine: "ShardedEngine") -> None:
+    def __init__(self, engine: "ShardedEngine") -> None:
         self._engine = engine
-        super().__init__(config, shard_of=self._shard)
+        self._task_col: dict[int, int] = {}
 
-    def _note(self, task: SpatialTask) -> None:
-        self._engine._task_col.setdefault(
-            task.task_id,
-            math.floor(task.location.x / self._engine.config.index_cell_km),
-        )
+    def arrived(self, task, t):
+        cell_km = self._engine.config.index_cell_km
+        self._task_col[task.task_id] = math.floor(task.location.x / cell_km)
 
-    def admitted(self, task, t):
-        self._note(task)
-        super().admitted(task, t)
+    def shard_of(self, task_id: int) -> int | None:
+        """The stripe owning (or, clamped, nearest to) the task's column."""
+        col = self._task_col.get(task_id)
+        specs = self._engine._last_specs
+        if col is None or not specs:
+            return None
+        best_id, best_gap = None, math.inf
+        for spec in specs:
+            if spec.owns_column(col):
+                return spec.shard_id
+            gap = min(abs(col - spec.col_lo), abs(col - spec.col_hi))
+            if gap < best_gap:
+                best_id, best_gap = spec.shard_id, gap
+        return best_id
 
-    def dead_on_arrival(self, task, t, cancelled):
-        self._note(task)
-        super().dead_on_arrival(task, t, cancelled)
-
-    def shed_on_arrival(self, task, t):
-        self._note(task)
-        super().shed_on_arrival(task, t)
-
-    def _shard(self, task_id: int) -> int | None:
-        return self._engine._shard_for_column(self._engine._task_col.get(task_id))
+    def dispatched(self, event, queue_depth):
+        if isinstance(event, TaskArrival):
+            shard_id = self.shard_of(event.task.task_id)
+        elif isinstance(event, (TaskDeadline, TaskCancel)):
+            shard_id = self.shard_of(event.task_id)
+        else:
+            shard_id = None
+        if shard_id is None:
+            obs.counter("dist.events.unrouted")
+            return
+        obs.counter(labelled("dist.shard.events", shard=shard_id))
+        merged_t = self._engine._last_merge_t
+        if merged_t is not None:
+            obs.histogram(
+                labelled("dist.shard.lag_s", shard=shard_id), max(event.time - merged_t, 0.0)
+            )
 
 
 class ShardedEngine(ServeEngine):
@@ -179,7 +190,6 @@ class ShardedEngine(ServeEngine):
         )
         self._last_specs: list = []
         self._last_merge_t: float | None = None
-        self._task_col: dict[int, int] = {}
         # Shard-server mirrors: which task ids and which snapshot
         # versions (predicted-track array identity) each server holds.
         self._server_tasks: list[set[int]] = [set() for _ in range(self.dist.shards)]
@@ -366,62 +376,11 @@ class ShardedEngine(ServeEngine):
         obs.gauge("dist.shard.straggler", straggler)
         obs.counter(labelled("dist.shard.straggler_rounds", shard=straggler))
 
-    def _on_event(self, event) -> None:
-        shard_id = self._route(event)
-        if shard_id is None:
-            obs.counter("dist.events.unrouted")
-            return
-        # Label-style names keep one metric family per base name at any
-        # shard count; the dotted forms are deprecated compat aliases
-        # (see docs/DISTRIBUTED.md) kept until downstream dashboards
-        # move over.
-        obs.counter(labelled("dist.shard.events", shard=shard_id))
-        obs.counter(f"dist.shard.{shard_id}.events")
-        if self._last_merge_t is not None:
-            lag = max(event.time - self._last_merge_t, 0.0)
-            obs.histogram(labelled("dist.shard.lag_s", shard=shard_id), lag)
-            obs.histogram(f"dist.shard.{shard_id}.lag_s", lag)
-
-    # ------------------------------------------------------------------
-    def _route(self, event) -> int | None:
-        """The stripe an event belongs to under the last batch's layout.
-
-        Arrivals route by their task's cell column (remembered so the
-        matching deadline/cancel events route to the same stripe);
-        batch ticks and worker availability events are global and stay
-        unrouted.  Columns outside every stripe clamp to the nearest
-        one — the stripe whose boundary tasks the event could affect.
-        """
-        if isinstance(event, TaskArrival):
-            col = math.floor(event.task.location.x / self.config.index_cell_km)
-            self._task_col[event.task.task_id] = col
-        elif isinstance(event, (TaskDeadline, TaskCancel)):
-            if event.task_id not in self._task_col:
-                return None
-            col = self._task_col[event.task_id]
-        else:
-            return None
-        return self._shard_for_column(col)
-
-    def _shard_for_column(self, col: int | None) -> int | None:
-        """The stripe owning (or nearest to) a cell column, or ``None``.
-
-        Shared by event routing and decision-log shard attribution;
-        ``None`` before the first batch lays stripes out.
-        """
-        if col is None or not self._last_specs:
-            return None
-        best_id, best_gap = None, math.inf
-        for spec in self._last_specs:
-            if spec.owns_column(col):
-                return spec.shard_id
-            gap = min(abs(col - spec.col_lo), abs(col - spec.col_hi))
-            if gap < best_gap:
-                best_id, best_gap = spec.shard_id, gap
-        return best_id
-
-    def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
-        return _ShardedDecisionLog(config, self)
+    def _run_observers(self, t_start, t_end, forecast):
+        router = ShardRouter(self)
+        return [router] + super()._run_observers(
+            t_start, t_end, forecast, shard_of=router.shard_of
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -377,9 +377,7 @@ def _serial_planner_build(
         stats.n_boundary_workers = sum(1 for c in seen.values() if c > 1)
         stats.merge_seconds = 0.0
         for s in range(len(layout.specs)):
-            # Label-style family plus the deprecated dotted alias.
             obs.counter(labelled("dist.shard.pairs", shard=s), pairs[s])
-            obs.counter(f"dist.shard.{s}.pairs", pairs[s])
     return merged
 
 
@@ -473,7 +471,6 @@ def sharded_build_candidates(
         stats.merge_seconds = merge_seconds
         for s in range(len(specs)):
             obs.counter(labelled("dist.shard.pairs", shard=s), stats.pairs_per_shard[s])
-            obs.counter(f"dist.shard.{s}.pairs", stats.pairs_per_shard[s])
     return merged
 
 

@@ -36,6 +36,7 @@ from repro.forecast.models import make_forecaster
 from repro.geo.grid import Grid
 from repro.geo.point import Point
 from repro.geo.trajectory import Trajectory, TrajectoryPoint
+from repro.obs.observer import RunObserver
 from repro.sc.entities import SpatialTask, Worker
 from repro.serve.triggers import DemandAdaptiveTrigger
 
@@ -229,13 +230,13 @@ def relocated_worker(worker: Worker, move: Move) -> Worker:
     )
 
 
-class ForecastRuntime:
+class ForecastRuntime(RunObserver):
     """Online demand tracking, forecasting, and gap planning for one run.
 
-    Created by the engine at ``run()`` start; fed every task arrival
-    (:meth:`observe_arrival`) and clock advance (:meth:`advance`), and
-    queried by the trigger (:meth:`predicted_pending`) and the
-    pre-positioning step (:meth:`plan_moves`).  All state is derived
+    A run observer created at ``run()`` start: fed every task arrival
+    (:meth:`arrived`) and clock advance (:meth:`advance`), and queried
+    by the trigger (:meth:`predicted_pending`) and the pre-positioning
+    step (:meth:`plan_moves`).  All state is derived
     deterministically from the event stream, so runs sharing a seed
     share every forecast.
     """
@@ -286,7 +287,7 @@ class ForecastRuntime:
         b = int((t - self.t_start) / self.config.bin_minutes)
         return min(max(b, 0), self.n_bins - 1)
 
-    def observe_arrival(self, task: SpatialTask, t: float) -> None:
+    def arrived(self, task: SpatialTask, t: float) -> None:
         i, j = self.grid.to_cell(task.location)
         self.counts[self._bin_of(t), i * self.grid.cols + j] += 1.0
 
@@ -306,6 +307,11 @@ class ForecastRuntime:
         """Score every remaining bin at the end of the run."""
         while self._completed < self.n_bins:
             self._finalize(self._completed)
+
+    def report(self, result) -> None:
+        self.finish()
+        result.forecast_mae = self.mae()
+        result.forecast_cell_mae = self.cell_mae() or None
 
     def _finalize(self, b: int) -> None:
         predicted = self._one_step.pop(b, None)

@@ -5,7 +5,8 @@ how well-calibrated its Theorem-2 probabilities are
 (:mod:`repro.obs.calibration`), but not *why* an individual task ended
 up assigned, shed, or expired.  This module closes that gap: with
 ``ServeConfig.decisions`` set, :class:`repro.serve.engine.ServeEngine`
-feeds a :class:`DecisionLog` at every decision site — admission
+attaches a :class:`DecisionLog` as one of its run observers
+(:mod:`repro.obs.observer`), fed at every decision site — admission
 (queued / shed, with a reason code), candidate generation (index
 candidate count, Theorem-2 prune count, batch cache hit rate),
 matching (offers, the accepted worker, the warm-start tier, the
@@ -69,6 +70,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.obs.observer import RunObserver
 from repro.obs.sinks import JsonlSink, read_jsonl
 
 # Admission states.
@@ -116,19 +118,10 @@ class DecisionConfig:
     spool_dir:
         Where sharded engines write their per-shard spool files before
         the merge; defaults to ``<path>.shards``.
-    a_km:
-        Theorem-2 grid granularity used when reconstructing the
-        predicted completion probability of an accepted pair (same
-        meaning as ``CalibrationConfig.a_km``).
     """
 
     path: str | None = None
     spool_dir: str | None = None
-    a_km: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.a_km <= 0:
-            raise ValueError("a_km must be positive")
 
     def resolved_spool_dir(self) -> str | None:
         if self.spool_dir is not None:
@@ -160,19 +153,19 @@ def _new_record(task, arrival_t: float | None) -> dict:
     }
 
 
-class DecisionLog:
+class DecisionLog(RunObserver):
     """Accumulates one lifecycle record per task; appends at terminal.
 
-    Driven by the engine's decision sites (:meth:`admitted`,
-    :meth:`dead_on_arrival`, :meth:`shed`, :meth:`considered`,
-    :meth:`offered`, :meth:`cancelled`, :meth:`expired`); records land
-    in :attr:`records` (terminal order) and, when ``config.path`` is
-    set, stream to the JSONL sink as they close.  ``shard_of`` (when
-    provided, e.g. by :class:`repro.dist.serve.ShardedEngine`) maps a
+    A run observer fed at the engine's decision sites; records land in
+    :attr:`records` (terminal order) and, when ``config.path`` is set,
+    stream to the JSONL sink as they close.  ``shard_of`` (when
+    provided, e.g. by :class:`repro.dist.serve.ShardRouter`) maps a
     task id to the stripe that owned it: records are then written to
     per-shard spool files and merged into ``config.path`` at
     :meth:`close`.
     """
+
+    reads_predicted_p = True
 
     def __init__(
         self,
@@ -342,6 +335,9 @@ class DecisionLog:
                 raw.extend(read_jsonl(path))
             merged = decision_records(raw) + preposition_records(raw)
             write_decisions(self.config.path, merged)
+
+    def report(self, result) -> None:
+        result.n_decisions = len(self.records)
 
     def terminal_counts(self) -> dict[str, int]:
         return dict(Counter(r["terminal"] for r in self.records))

@@ -23,9 +23,9 @@ external scrapers can watch the run live.  A calibration monitor, when
 configured, streams its drift events into the same series file and
 appends a final ``calibration`` record at close.
 
-Everything here is opt-in: the serving engine only instantiates a
-monitor when :class:`MonitorConfig` is present on its config, and the
-no-op default path is untouched.
+Everything here is opt-in: the serving engine only attaches a
+:class:`RunMonitor` observer when :class:`MonitorConfig` is present on
+its config, and the no-op default path is untouched.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from typing import IO, Sequence
 
 from repro.obs.calibration import CalibrationConfig, CalibrationMonitor
 from repro.obs.metrics import MetricsRegistry, labelled
+from repro.obs.observer import RunObserver
 from repro.obs.openmetrics import ExpositionServer, render_openmetrics, write_openmetrics
+from repro.obs.recorder import MetricsRecorder, get_recorder, set_recorder
 from repro.obs.sinks import read_jsonl
 
 
@@ -471,6 +473,40 @@ class MetricsMonitor:
         if self._fh is not None:
             self._fh.write(json.dumps(record, default=str) + "\n")
             self._fh.flush()
+
+
+class RunMonitor(MetricsMonitor, RunObserver):
+    """A :class:`MetricsMonitor` observing one serve run until ``t_end``.
+
+    Samples the active recorder's registry, installing a metrics-only
+    recorder for the run when none is active (spans stay free).  With
+    calibration on, every offer's predicted probability is scored.
+    """
+
+    def __init__(self, config: MonitorConfig, t_start: float, t_end: float) -> None:
+        self._restore = None
+        if getattr(get_recorder(), "metrics", None) is None:
+            self._restore = set_recorder(MetricsRecorder())
+        super().__init__(config, get_recorder().metrics)
+        self.start(t_start)
+        self.reads_predicted_p = self.calibration is not None
+        self._t_end = t_end
+
+    def offered(self, task_id, worker_id, t, accepted, predicted_p=None, warm_tier=None):
+        self.observe_outcome(predicted_p, accepted, t)
+
+    def report(self, result):
+        self.advance(self._t_end)
+        self.finish(self._t_end)
+        result.n_monitor_samples = len(self.samples)
+        if self.calibration is not None:
+            result.calibration = self.calibration.summary()
+            result.n_drift_events = len(self.calibration.drift_events)
+
+    def close(self):
+        self.finish(self._t_end)
+        if self._restore is not None:
+            set_recorder(self._restore)
 
 
 def read_series(path: str | Path) -> list[dict]:

@@ -21,7 +21,11 @@ loop) but as a priority-queue event loop instead of a fixed-step scan:
   candidate-aware assignment function instead of scanning W x T pairs;
 * **prediction cache** — snapshots are served from a TTL cache with
   check-in deviation invalidation (:mod:`repro.serve.prediction_cache`)
-  instead of being re-predicted every batch.
+  instead of being re-predicted every batch;
+* **run observers** — monitoring, decision provenance, lifecycle
+  metrics and demand forecasting attach through one list of
+  :class:`repro.obs.observer.RunObserver`; only the forecast trigger
+  and pre-positioning, which change outcomes, are loop steps.
 
 Configured as fixed-window / unbounded queue / no index / no cache, the
 engine reproduces ``BatchPlatform`` completion, rejection, and expiry
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # import cycle: forecast.dispatch imports serve.triggers
@@ -40,10 +45,10 @@ if TYPE_CHECKING:  # import cycle: forecast.dispatch imports serve.triggers
 from repro import obs
 from repro.assignment.matching_rate import pair_completion_probability
 from repro.assignment.plan import AssignmentPlan
+from repro.assignment.ppi import PPIConfig
 from repro.obs.decisions import DecisionConfig, DecisionLog
-from repro.obs.metrics import labelled
-from repro.obs.monitor import MetricsMonitor, MonitorConfig
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.monitor import MonitorConfig, RunMonitor
+from repro.obs.observer import LifecycleMetrics, RunObserver
 from repro.sc.acceptance import evaluate_acceptance
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.platform import (
@@ -65,6 +70,10 @@ from repro.serve.events import (
 from repro.serve.prediction_cache import PredictionCache
 from repro.serve.spatial_index import build_candidates
 from repro.serve.triggers import DemandAdaptiveTrigger, FixedWindowTrigger
+
+#: Matching-rate threshold (Definition 7) of the serve policies' PPI;
+#: each offer's believed completion probability is scored with it.
+_PPI_A_KM = PPIConfig().a
 
 #: A candidate-aware assignment function: like :data:`AssignFn` plus the
 #: sparse candidate graph built by the engine's spatial index.
@@ -119,8 +128,7 @@ class ServeConfig:
         one lifecycle record per task — admission, candidate
         generation, matching outcome, terminal state — appended to a
         JSONL decision log.  ``None`` (the default) keeps the run
-        log-free with exact ``result_signature`` parity; the per-event
-        cost of the off path is one ``is None`` test.
+        log-free; either way ``result_signature`` is unchanged.
     forecast:
         Demand-forecasting knobs (:class:`repro.forecast.dispatch.ForecastConfig`):
         per-cell arrival forecasting, the ``"forecast"`` trigger's
@@ -323,20 +331,37 @@ class ServeEngine:
     def _on_event(self, event) -> None:
         """Post-dispatch event hook; the base engine does nothing.
 
-        Called once per processed event, after its state updates.
-        Subclasses use it for routing accounting (per-shard event
-        counters in :class:`repro.dist.serve.ShardedEngine`); it must
-        not mutate engine state the event loop depends on.
+        Called once per processed event, after its state updates and
+        before the run observers' ``dispatched``.  Subclasses may use it
+        for per-event accounting; it must not mutate engine state the
+        event loop depends on.
         """
 
-    def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
-        """The decision log a run records into (``config.decisions``).
+    def _run_observers(
+        self, t_start: float, t_end: float, forecast, shard_of=None
+    ) -> list[RunObserver]:
+        """The observers of one run, built from the config.
 
-        Subclasses substitute their own — :class:`repro.dist.serve.ShardedEngine`
-        attributes each record to the stripe that owned the task and
-        writes per-shard spools merged at close.
+        The monitor comes first: it advances before every other
+        observer, so a sample never holds metrics of the event at its
+        own time, and it reports last, after the forecast's closing
+        bins.  ``shard_of`` names the stripe of each decision record
+        (:class:`repro.dist.serve.ShardedEngine`).
         """
-        return DecisionLog(config)
+        cfg = self.config
+        observers: list[RunObserver] = []
+        if cfg.monitor is not None:
+            observers.append(RunMonitor(cfg.monitor, t_start, t_end))
+        if forecast is not None:
+            observers.append(forecast)
+        self.decision_log = None
+        if cfg.decisions is not None:
+            self.decision_log = DecisionLog(cfg.decisions, shard_of=shard_of)
+            observers.append(self.decision_log)
+        # After the monitor, which may have installed a recorder.
+        if obs.enabled():
+            observers.append(LifecycleMetrics())
+        return observers
 
     # ------------------------------------------------------------------
     def run(
@@ -358,15 +383,13 @@ class ServeEngine:
             raise ValueError("task ids must be unique")
 
         cfg = self.config
-        # Forecasting is opt-in like monitoring: with cfg.forecast unset
-        # the runtime stays None and every hook below costs one
-        # `is None` test, keeping result_signature bit-identical.
-        fruntime = None
+        forecast = None
         if cfg.forecast is not None:
-            from repro.forecast.dispatch import ForecastRuntime
+            from repro.forecast.dispatch import ForecastRuntime, relocated_worker
 
-            fruntime = ForecastRuntime(cfg.forecast, t_start, t_end, tasks=tasks)
-        trigger = cfg.make_trigger(forecast_runtime=fruntime)
+            forecast = ForecastRuntime(cfg.forecast, t_start, t_end, tasks=tasks)
+        prepositioning = cfg.forecast is not None and cfg.forecast.prepositioning
+        trigger = cfg.make_trigger(forecast_runtime=forecast)
         cache = PredictionCache(
             provider=self.snapshot_provider,
             ttl=cfg.cache_ttl,
@@ -375,29 +398,8 @@ class ServeEngine:
         result = ServeResult(
             n_tasks=len(tasks), n_completed=0, n_assignments=0, n_rejections=0, n_expired=0
         )
-        # Online monitoring is strictly opt-in: with cfg.monitor unset
-        # none of this allocates, and the per-event cost below is one
-        # `watch` boolean test.  When a monitor is requested but no
-        # recorder is active, a metrics-only recorder is installed for
-        # the duration of the run (spans stay free) and restored after.
-        monitor: MetricsMonitor | None = None
-        restore_to = None
-        if cfg.monitor is not None:
-            if getattr(obs.get_recorder(), "metrics", None) is None:
-                restore_to = obs.set_recorder(MetricsRecorder())
-            monitor = MetricsMonitor(cfg.monitor, obs.get_recorder().metrics)
-            monitor.start(t_start)
-        watch = obs.enabled()
-        calibrate = monitor is not None and monitor.calibration is not None
-        # Decision provenance is equally opt-in: with cfg.decisions
-        # unset `dlog` stays None and every decision site below costs
-        # one `is None` test, keeping result_signature bit-identical.
-        dlog: DecisionLog | None = None
-        if cfg.decisions is not None:
-            dlog = self._make_decision_log(cfg.decisions)
-        self.decision_log = dlog
-        arrival_at: dict[int, float] = {}
-        offered_ids: set[int] = set()
+        observers = self._run_observers(t_start, t_end, forecast)
+        score_offers = any(o.reads_predicted_p for o in observers)
         pending: dict[int, SpatialTask] = {}
         busy_until: dict[int, float] = {}
         online: dict[int, Worker] = {}
@@ -436,16 +438,9 @@ class ServeEngine:
 
         last_batch = t_start - cfg.batch_window
 
-        def shed_for(new_task: SpatialTask) -> SpatialTask | None:
-            """Deadline-aware shedding: victim with the least slack."""
-            victim = new_task
-            for candidate in pending.values():
-                if candidate.deadline < victim.deadline:
-                    victim = candidate
-            return victim
-
-        def run_batch(t: float, early: bool) -> None:
-            nonlocal last_batch, tick_generation
+        def run_batch(t: float, early: bool) -> list[Worker]:
+            """One assignment round; returns the workers it found available."""
+            nonlocal last_batch
             last_batch = t
             available = [
                 worker_by_id[w_id]
@@ -456,7 +451,7 @@ class ServeEngine:
             obs.gauge("serve.queue.pending", len(pending))
             obs.gauge("serve.workers.available", len(available))
             if not batch_tasks or not available:
-                return
+                return available
             batch_started = time.perf_counter()
             with obs.span(
                 "serve.batch",
@@ -466,7 +461,7 @@ class ServeEngine:
                 available=len(available),
                 early=early,
             ) as batch_span:
-                pre_cache = cache.stats.snapshot() if dlog is not None else None
+                pre_cache = cache.stats.snapshot()
                 with obs.span("serve.predict", workers=len(available)):
                     started = time.perf_counter()
                     snapshots = [cache.get(w, t) for w in available]
@@ -476,7 +471,7 @@ class ServeEngine:
                     obs.gauge("serve.cache.hit_rate", cache.stats.hits / served)
                 result.n_dense_pairs += len(batch_tasks) * len(available)
                 candidates = None
-                warm_pre = None
+                warm_tier = None
                 with obs.span("serve.assign", tasks=len(batch_tasks)):
                     started = time.perf_counter()
                     if cfg.use_index and self.candidate_assign_fn is not None:
@@ -484,32 +479,22 @@ class ServeEngine:
                         batch_candidates = sum(len(v) for v in candidates.values())
                         result.n_candidate_pairs += batch_candidates
                         obs.histogram("serve.index.candidates", batch_candidates)
-                        if dlog is not None:
-                            warm_pre = _warm_tier_counts(self.candidate_assign_fn)
+                        warm_pre = _warm_tier_counts(self.candidate_assign_fn)
                         plan = self.candidate_assign_fn(batch_tasks, snapshots, t, candidates)
+                        warm_tier = _warm_tier(
+                            warm_pre, _warm_tier_counts(self.candidate_assign_fn)
+                        )
                     else:
                         result.n_candidate_pairs += len(batch_tasks) * len(available)
                         plan = self.assign_fn(batch_tasks, snapshots, t)
                     result.algorithm_seconds += time.perf_counter() - started
                 validate_plan(plan, pending, worker_by_id)
 
-                warm_tier = None
-                if dlog is not None:
-                    dlog.considered(
-                        [task.task_id for task in batch_tasks],
-                        len(available),
-                        candidates,
-                        cache.stats.window_hit_rate(pre_cache),
-                    )
-                    if warm_pre is not None:
-                        warm_tier = _warm_tier(
-                            warm_pre, _warm_tier_counts(self.candidate_assign_fn)
-                        )
-                snap_by_worker = (
-                    {s.worker_id: s for s in snapshots}
-                    if calibrate or dlog is not None
-                    else None
-                )
+                batch_ids = [task.task_id for task in batch_tasks]
+                hit_rate = cache.stats.window_hit_rate(pre_cache)
+                for o in observers:
+                    o.considered(batch_ids, len(available), candidates, hit_rate)
+                snap_by_worker = {s.worker_id: s for s in snapshots} if score_offers else None
                 n_accepted = 0
                 n_rejected = 0
                 for pair in plan:
@@ -519,35 +504,20 @@ class ServeEngine:
                     result.n_assignments += 1
                     if outcome_listener is not None:
                         outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
-                    if calibrate or dlog is not None:
-                        believed = pair_completion_probability(
-                            snap_by_worker[pair.worker_id],
-                            task,
-                            t,
-                            a=cfg.monitor.calibration.a_km
-                            if calibrate
-                            else cfg.decisions.a_km,
+                    believed = None
+                    if score_offers:
+                        snap = snap_by_worker[pair.worker_id]
+                        believed = pair_completion_probability(snap, task, t, a=_PPI_A_KM)
+                    for o in observers:
+                        o.offered(
+                            task.task_id, worker.worker_id, t, decision.accepted,
+                            believed, warm_tier,
                         )
-                        if calibrate:
-                            monitor.observe_outcome(believed, decision.accepted, t)
-                        if dlog is not None:
-                            dlog.offered(
-                                task.task_id,
-                                worker.worker_id,
-                                t,
-                                decision.accepted,
-                                predicted_p=believed,
-                                warm_tier=warm_tier,
-                            )
                     if decision.accepted:
                         n_accepted += 1
                         result.n_completed += 1
                         result.completed_task_ids.add(task.task_id)
                         result.detours_km.append(decision.detour_km)
-                        if watch and task.task_id in arrival_at:
-                            obs.histogram(
-                                "serve.task.time_to_assign", t - arrival_at.pop(task.task_id)
-                            )
                         del pending[task.task_id]
                         # Same busy model as BatchPlatform: off-route for
                         # the detour distance at the worker's speed, plus
@@ -557,8 +527,6 @@ class ServeEngine:
                     else:
                         n_rejected += 1
                         result.n_rejections += 1
-                        if watch or dlog is not None:
-                            offered_ids.add(task.task_id)
                 obs.counter("serve.assignments", len(plan))
                 obs.counter("serve.accepted", n_accepted)
                 obs.counter("serve.rejections", n_rejected)
@@ -578,109 +546,85 @@ class ServeEngine:
                 if early:
                     result.n_early_batches += 1
                     obs.counter("serve.batches.early")
+            return available
 
-        def preposition(t: float) -> None:
+        def preposition(t: float, idle: list[Worker]) -> None:
             """Move idle workers toward predicted demand gaps.
 
-            Runs after each batch: workers left idle (not busy at
-            ``t``) are offered to the forecast runtime's gap planner;
-            accepted moves splice the relocation into the worker's
-            routine, so later snapshots, acceptance decisions, and
-            check-outs all see the repositioned worker.
+            Runs after each batch on the workers it left idle; accepted
+            moves splice the relocation into the worker's routine, so
+            later snapshots, acceptance decisions, and check-outs all
+            see the repositioned worker.
             """
-            from repro.forecast.dispatch import relocated_worker
-
-            idle = [
-                worker_by_id[w_id]
-                for w_id in sorted(online, key=self._worker_pos.__getitem__)
-                if busy_until.get(w_id, -1.0) <= t
-            ]
-            moves = fruntime.plan_moves(t, idle, pending)
+            moves = forecast.plan_moves(t, idle, pending)
             for move in moves:
                 moved = relocated_worker(worker_by_id[move.worker_id], move)
                 worker_by_id[move.worker_id] = moved
                 if move.worker_id in online:
                     online[move.worker_id] = moved
                 cache.invalidate(move.worker_id)
-                if dlog is not None:
-                    dlog.prepositioned(move)
+                for o in observers:
+                    o.prepositioned(move)
             if moves:
                 result.n_prepositioned += len(moves)
                 obs.counter("forecast.prepositioned", len(moves))
 
-        event_started = 0.0
         try:
             while queue and queue.peek_time() <= horizon_end:
                 event = queue.pop()
-                if monitor is not None:
-                    monitor.advance(event.time)
-                if fruntime is not None:
-                    fruntime.advance(event.time)
-                if watch:
-                    event_started = time.perf_counter()
+                now = event.time
+                for o in observers:
+                    o.advance(now)
                 if isinstance(event, TaskArrival):
                     task = event.task
-                    if fruntime is not None:
-                        # Every arrival is demand, even one that dies on
-                        # arrival below — the forecaster models load.
-                        fruntime.observe_arrival(task, event.time)
+                    for o in observers:
+                        o.arrived(task, now)
                     # Dead on arrival: a task released before the horizon
                     # whose deadline or cancellation window already passed.
                     # BatchPlatform releases and expires these in the same
                     # tick, never attempting assignment.
-                    if task.deadline < event.time or (
+                    if task.deadline < now or (
                         cfg.assignment_window is not None
-                        and event.time > task.release_time + cfg.assignment_window
+                        and now > task.release_time + cfg.assignment_window
                     ):
                         result.n_expired += 1
                         obs.counter("serve.expired")
-                        if watch:
-                            obs.counter(labelled("serve.task.expired", phase="pending"))
-                        if dlog is not None:
-                            dlog.dead_on_arrival(
-                                task, event.time, cancelled=task.deadline >= event.time
-                            )
+                        for o in observers:
+                            o.dead_on_arrival(task, now, cancelled=task.deadline >= now)
                     else:
                         if cfg.max_pending is not None and len(pending) >= cfg.max_pending:
-                            victim = shed_for(task)
-                            if victim.task_id != task.task_id:
-                                del pending[victim.task_id]
-                                pending[task.task_id] = task
+                            # Deadline-aware shedding: the least slack goes
+                            # (the arrival itself on a tie).
+                            victim = min((task, *pending.values()), key=attrgetter("deadline"))
                             result.n_shed += 1
                             obs.counter("serve.shed.tasks")
-                            if watch:
-                                obs.counter(labelled(
-                                    "serve.shed.tasks",
-                                    reason="queue_full"
-                                    if victim.task_id == task.task_id
-                                    else "deadline_slack",
-                                ))
-                            if dlog is not None:
-                                if victim.task_id == task.task_id:
-                                    dlog.shed_on_arrival(task, event.time)
-                                else:
-                                    dlog.admitted(task, event.time)
-                                    dlog.displaced(victim.task_id, event.time)
+                            if victim.task_id == task.task_id:
+                                for o in observers:
+                                    o.shed_on_arrival(task, now)
+                            else:
+                                del pending[victim.task_id]
+                                pending[task.task_id] = task
+                                for o in observers:
+                                    o.admitted(task, now)
+                                    o.displaced(victim.task_id, now)
                         else:
                             pending[task.task_id] = task
-                            if dlog is not None:
-                                dlog.admitted(task, event.time)
-                        if watch and task.task_id in pending:
-                            arrival_at[task.task_id] = event.time
-                        if trigger.should_fire_early(event.time, last_batch, pending):
+                            for o in observers:
+                                o.admitted(task, now)
+                        if trigger.should_fire_early(now, last_batch, pending):
                             tick_generation += 1
-                            queue.push(BatchTick(time=event.time, generation=tick_generation))
+                            queue.push(BatchTick(time=now, generation=tick_generation))
                 elif isinstance(event, BatchTick):
                     if event.generation == tick_generation:
-                        early = event.time - last_batch < cfg.batch_window - 1e-9
-                        run_batch(event.time, early=early)
-                        if fruntime is not None and cfg.forecast.prepositioning:
-                            preposition(event.time)
+                        early = now - last_batch < cfg.batch_window - 1e-9
+                        available = run_batch(now, early=early)
+                        if prepositioning:
+                            preposition(now, [
+                                w for w in available if busy_until.get(w.worker_id, -1.0) <= now
+                            ])
                         tick_generation += 1
                         queue.push(
-                            BatchTick(
-                                time=trigger.next_tick(event.time), generation=tick_generation
-                            )
+                            BatchTick(time=trigger.next_tick(now), generation=tick_generation)
                         )
                     # else: superseded by an early fire
                 elif isinstance(event, TaskDeadline):
@@ -688,67 +632,37 @@ class ServeEngine:
                         del pending[event.task_id]
                         result.n_expired += 1
                         obs.counter("serve.expired")
-                        if watch:
-                            obs.counter(labelled(
-                                "serve.task.expired",
-                                phase="assigned"
-                                if event.task_id in offered_ids
-                                else "pending",
-                            ))
-                        if dlog is not None:
-                            dlog.expired(event.task_id, event.time)
+                        for o in observers:
+                            o.expired(event.task_id, now)
                 elif isinstance(event, TaskCancel):
                     if event.task_id in pending:
                         del pending[event.task_id]
                         result.n_expired += 1
                         obs.counter("serve.cancelled")
-                        if dlog is not None:
-                            dlog.cancelled(event.task_id, event.time)
+                        for o in observers:
+                            o.cancelled(event.task_id, now)
                 elif isinstance(event, WorkerCheckIn):
                     online[event.worker.worker_id] = event.worker
                 elif isinstance(event, WorkerCheckOut):
                     online.pop(event.worker_id, None)
                 self._on_event(event)
-                if watch:
-                    obs.histogram("serve.loop.lag_s", time.perf_counter() - event_started)
-                    obs.gauge("serve.loop.heap_depth", len(queue))
+                for o in observers:
+                    o.dispatched(event, len(queue))
 
             # Tasks still pending at the horizon's end count as expired.
-            if (watch or dlog is not None) and pending:
-                for task_id in pending:
-                    if watch:
-                        obs.counter(labelled(
-                            "serve.task.expired",
-                            phase="assigned" if task_id in offered_ids else "pending",
-                        ))
-                    if dlog is not None:
-                        dlog.expired(task_id, t_end, horizon=True)
+            for task_id in pending:
+                for o in observers:
+                    o.expired(task_id, t_end, horizon=True)
             result.n_expired += len(pending)
-            if dlog is not None:
-                result.n_decisions = len(dlog.records)
             result.cache_hits = cache.stats.hits
             result.cache_misses = cache.stats.misses
             result.cache_invalidations = cache.stats.invalidations
-            if fruntime is not None:
-                fruntime.finish()
-                result.forecast_mae = fruntime.mae()
-                result.forecast_cell_mae = fruntime.cell_mae() or None
-            if monitor is not None:
-                monitor.advance(t_end)
-                monitor.finish(t_end)
-                result.n_monitor_samples = len(monitor.samples)
-                if monitor.calibration is not None:
-                    result.calibration = monitor.calibration.summary()
-                    result.n_drift_events = len(monitor.calibration.drift_events)
+            for o in reversed(observers):
+                o.report(result)
             return result
         finally:
-            # Close monitor and decision-log sinks (both idempotent;
-            # closing the decision log also merges shard spools) and
-            # restore the recorder even when the run unwinds on an
-            # exception.
-            if monitor is not None:
-                monitor.finish(t_end)
-            if dlog is not None:
-                dlog.close()
-            if restore_to is not None:
-                obs.set_recorder(restore_to)
+            # Close sinks (closing the decision log also merges shard
+            # spools) and restore the recorder even when the run
+            # unwinds on an exception.
+            for o in reversed(observers):
+                o.close()

@@ -130,8 +130,10 @@ class TestShardedEngineBehavior:
 
     def test_event_routing_metrics_emitted(self):
         """With a metrics recorder active, per-shard event counters and
-        lag histograms appear under dist.shard.*."""
+        lag histograms appear as dist.shard.events{shard=k} and
+        dist.shard.lag_s{shard=k}."""
         from repro import obs
+        from repro.obs.metrics import split_labels
         from repro.obs.recorder import MetricsRecorder
 
         tasks, workers = scenario(5)
@@ -139,10 +141,10 @@ class TestShardedEngineBehavior:
         try:
             run_sharded(tasks, workers, 5, shards=2)
             metrics = obs.get_recorder().metrics
-            counter_names = set(metrics.counters)
-            histogram_names = set(metrics.histograms)
-            assert any(n.startswith("dist.shard.") and n.endswith(".events") for n in counter_names)
-            assert any(n.startswith("dist.shard.") and n.endswith(".lag_s") for n in histogram_names)
+            counter_names = {split_labels(n)[0] for n in metrics.counters}
+            histogram_names = {split_labels(n)[0] for n in metrics.histograms}
+            assert "dist.shard.events" in counter_names
+            assert "dist.shard.lag_s" in histogram_names
             assert "dist.merge.seconds" in histogram_names
         finally:
             obs.set_recorder(previous)

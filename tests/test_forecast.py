@@ -193,7 +193,7 @@ class TestForecastTrigger:
         tasks = [task(i, 1.0, 1.0, 0.5 * i) for i in range(20)]
         runtime = runtime_for(tasks)
         for t in tasks:
-            runtime.observe_arrival(t, t.release_time)
+            runtime.arrived(t, t.release_time)
         runtime.advance(12.0)
         assert runtime.predicted_pending(12.0) > 0.0
         trigger = ForecastTrigger(demand_threshold=2.0, runtime=runtime)
@@ -253,7 +253,7 @@ class TestPlanMoves:
         )
         runtime = runtime_for(tasks, config)
         for t in sorted(tasks, key=lambda t: t.release_time):
-            runtime.observe_arrival(t, t.release_time)
+            runtime.arrived(t, t.release_time)
         runtime.advance(13.0)
         return runtime
 

@@ -17,14 +17,11 @@ from repro.obs import (
 
 
 class TestConfig:
-    def test_defaults_match_ppi_threshold(self):
-        assert CalibrationConfig().a_km == pytest.approx(0.3)
-
     @pytest.mark.parametrize(
         "kwargs,match",
         [
             ({"n_bins": 0}, "bin"),
-            ({"a_km": -1.0}, "non-negative"),
+            ({"ewma_threshold": 0.0}, "threshold"),
             ({"min_samples": 0}, "positive"),
             ({"detector": "cusum"}, "detector"),
             ({"ph_threshold": 0.0}, "threshold"),

@@ -222,15 +222,13 @@ class TestMergedTimeline:
             assert len(entry["top"]) <= 5
             assert all({"function", "ncalls", "cumtime_s"} <= set(row) for row in entry["top"])
 
-    def test_labelled_shard_metrics_and_compat_aliases(self, traced_run):
+    def test_labelled_shard_metrics(self, traced_run):
         _, _, records, *_ = traced_run
         metrics = next(r for r in records if r.get("type") == "metrics")
         counters, gauges = metrics["counters"], metrics["gauges"]
-        assert labelled("dist.shard.events", shard=0) in counters
-        # Deprecated dotted alias kept in lockstep.
-        assert counters["dist.shard.0.events"] == counters[
-            labelled("dist.shard.events", shard=0)
-        ]
+        assert counters[labelled("dist.shard.events", shard=0)] > 0
+        # One labelled family per base name; no dotted per-shard names.
+        assert not any(name.startswith(("dist.shard.0.", "dist.shard.1.")) for name in counters)
         assert labelled("dist.shard.busy_s", shard=0) in gauges
         assert "dist.shard.straggler" in gauges
 
