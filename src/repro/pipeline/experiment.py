@@ -21,7 +21,6 @@ from repro.assignment.ppi import PPIConfig, ppi_assign
 from repro.assignment.matching_rate import matching_rate
 from repro.data.windows import sliding_windows, trajectory_to_normalized
 from repro.data.workload import Workload
-from repro.nn.tensor import Tensor
 from repro.pipeline.config import AssignmentConfig
 from repro.pipeline.prediction import (
     CurrentLocationSnapshotProvider,
@@ -96,7 +95,7 @@ def _evaluate_prediction(
         if len(x) == 0:
             continue
         model = predictor.model_for(worker.worker_id)
-        pred = model(Tensor(x)).numpy()
+        pred = model.predict(x)
         diff_cells = (pred - y) * cell_scale  # unit square -> cell units
         sq = (diff_cells**2).sum(axis=-1)  # squared Euclidean error per point
         ab = np.sqrt(sq)
